@@ -28,119 +28,17 @@
 //! the JSON: a renamed or dropped metric fails with its name, instead of
 //! a silent smoke pass or an inscrutable grep miss.
 
-use bench::report::{build_report, compare_deterministic, Json};
-use std::io::Write;
-
-/// Does `key` name a field anywhere in `j`?
-fn key_present(j: &Json, key: &str) -> bool {
-    match j {
-        Json::Obj(fields) => fields.iter().any(|(k, v)| k == key || key_present(v, key)),
-        _ => false,
-    }
-}
+use bench::cli::ReportCli;
+use bench::report::build_report;
 
 fn main() {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut compare: Option<String> = None;
-    let mut require_keys: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }));
-            }
-            "--compare" => {
-                compare = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--compare requires a path");
-                    std::process::exit(2);
-                }));
-            }
-            "--require-keys" => {
-                let list = args.next().unwrap_or_else(|| {
-                    eprintln!("--require-keys requires a comma-separated list");
-                    std::process::exit(2);
-                });
-                require_keys.extend(
-                    list.split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(String::from),
-                );
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: bench_report [--quick] [--out PATH] [--compare BENCH_N.json] \
-                     [--require-keys k1,k2,...]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let report = build_report(quick);
-    let rendered = report.render();
-    match out {
-        Some(path) => {
-            let mut f = std::fs::File::create(&path)
-                .unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-            f.write_all(rendered.as_bytes()).expect("write report");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{rendered}"),
-    }
-
-    if !require_keys.is_empty() {
-        let missing: Vec<&String> = require_keys
-            .iter()
-            .filter(|k| !key_present(&report, k))
-            .collect();
-        if missing.is_empty() {
-            eprintln!(
-                "bench gate: all {} required metric keys present",
-                require_keys.len()
-            );
-        } else {
-            eprintln!(
-                "bench gate FAILED: required metric key(s) missing from the report \
-                 (renamed or dropped section?):"
-            );
-            for k in missing {
-                eprintln!("  missing key: {k}");
-            }
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(path) = compare {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read reference {path}: {e}"));
-        let reference =
-            Json::parse(&text).unwrap_or_else(|e| panic!("cannot parse reference {path}: {e}"));
-        let Some(ref_quick) = reference.get("fig_quick") else {
-            eprintln!("reference {path} has no `fig_quick` section — cannot gate");
-            std::process::exit(2);
-        };
-        let cur_quick = report
-            .get("fig_quick")
-            .expect("reports always embed fig_quick");
-        let regressions = compare_deterministic(cur_quick, ref_quick, 0.2);
-        if regressions.is_empty() {
-            eprintln!("bench gate: deterministic fig numbers within 20% of {path}");
-        } else {
-            eprintln!("bench gate FAILED against {path}:");
-            for r in &regressions {
-                eprintln!("  {r}");
-            }
-            std::process::exit(1);
-        }
-    }
+    bench::cli::run(
+        ReportCli {
+            bin: "bench_report",
+            gate: "bench",
+            gated: "fig",
+            sections: &["fig_quick"],
+        },
+        build_report,
+    );
 }

@@ -13,6 +13,7 @@
 //! batch growing with `|D|` and shipping orders of magnitude more data.
 
 pub mod analysis;
+pub mod cli;
 pub mod load;
 pub mod report;
 pub mod speedup;

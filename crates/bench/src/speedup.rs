@@ -158,7 +158,7 @@ fn run_point(
     let seq_wire = seq.wire_stats().expect("TCP drive meters wire bytes");
     // One thread overlaps nothing: every protocol message is a blocking
     // round trip, so the simulated roll-up is the serialized time.
-    let seq_elapsed_s = seq_wall_s + model.serialized_seconds(seq_wire);
+    let seq_elapsed_s = seq_wall_s + model.serialized_seconds(&seq_wire);
     // The concurrent transport really ran: measured wall replaces the
     // simulated roll-up. Residual model charge: two latencies per wave
     // (probe window + barrier) plus the busiest link's bytes.

@@ -32,7 +32,6 @@ pub mod delta;
 pub mod naive;
 pub mod parse;
 pub mod pattern;
-pub mod report;
 pub mod share;
 pub mod sqlgen;
 pub mod violation;

@@ -14,10 +14,15 @@
 //! * [`transport`] — the generic, synchronous, metered message network,
 //!   and the [`MsgTransport`] abstraction real byte backends plug into,
 //! * [`net`] — the **real byte-level transport**: length-prefixed framing
-//!   ([`net::ByteTransport`]), a deterministic in-process framed channel,
-//!   a `TcpListener`/`TcpStream` localhost mesh, and [`net::ByteNetwork`]
-//!   which serializes typed messages to frames and meters modeled `|M|`
-//!   and measured on-wire bytes side by side,
+//!   ([`net::frame`]), the `TcpListener`/`TcpStream` localhost mesh, and
+//!   [`net::ByteNetwork`], the single-thread driver of the per-site node
+//!   mesh, which serializes typed messages to frames and meters modeled
+//!   `|M|` and measured on-wire bytes side by side,
+//! * [`run`] — that node mesh: one [`run::Node`] per site (in-process
+//!   channels or TCP), holding the one framed send recipe and receive
+//!   path; the thread-per-site and multi-process runtimes give each node
+//!   its own thread or process, [`net::ByteNetwork`] drives all of them
+//!   from one thread,
 //! * [`codec`] — the pluggable payload codecs ([`PayloadCodec`]:
 //!   [`codec::RawValues`], [`codec::Md5Digest`], [`codec::DictSyms`],
 //!   [`codec::LzBlock`]) every value-shipping protocol encodes through,
@@ -39,7 +44,7 @@ pub mod run;
 pub mod transport;
 
 pub use codec::{CodecKind, PayloadCodec, ReceiverCodec, WireValue};
-pub use net::{ByteNetwork, ByteTransport, Compression, FrameCodec, TransportKind, TransportMeter};
+pub use net::{ByteNetwork, Compression, FrameCodec, TransportKind, TransportMeter};
 pub use netstats::{CostModel, NetReport, NetStats};
 pub use transport::{DictMeter, MsgTransport, Network, Wire};
 

@@ -1,7 +1,7 @@
 //! Length-prefixed framing over byte streams, plus the deterministic
 //! in-process framed channel.
 //!
-//! Every frame on a [`super::ByteTransport`] link is:
+//! Every frame on a node-mesh link ([`crate::run`]) is:
 //!
 //! ```text
 //! [ length: u32 LE ][ method: u8 ][ body: length − 1 bytes ]

@@ -4,17 +4,26 @@
 //! [`crate::Network`] meters each payload's declared
 //! [`crate::Wire::wire_size`] and calls it `|M|` (§2.3). This module
 //! ships **actual bytes**: typed messages serialize to length-prefixed
-//! frames ([`frame`]), frames cross either a deterministic in-process
-//! channel or real `TcpListener`/`TcpStream` sockets ([`tcp`]), and the
-//! receiving site reconstructs the message from nothing but the received
-//! bytes. [`ByteNetwork`] meters both quantities side by side — the
-//! modeled `|M|` (identical accounting to [`crate::Network`]) and the
-//! measured on-wire bytes — so the benchmark report can hold the model to
-//! the wire.
+//! frames ([`frame`]), frames cross either in-process channels or real
+//! `TcpListener`/`TcpStream` sockets ([`tcp`]), and the receiving site
+//! reconstructs the message from nothing but the received bytes.
+//!
+//! There is one framed substrate: the per-site node mesh of
+//! [`crate::run`]. Each [`Node`] owns its write halves, its inbox and the
+//! meters of its sends, and [`Node::send`] holds the only copy of the
+//! send recipe (encode → overhead identity → size cap → optional LZ →
+//! link write → meter). The thread-per-site and multi-process runtimes
+//! give every node its own thread or process; [`ByteNetwork`] is the
+//! single-thread driver of the same nodes, so the sequential protocol
+//! drives ship, receive and meter exactly as the concurrent ones do.
+//! Both quantities are metered side by side — the modeled `|M|`
+//! (identical accounting to [`crate::Network`]) and the measured
+//! on-wire bytes — so the benchmark report can hold the model to the
+//! wire.
 //!
 //! # Accounting identity
 //!
-//! For every frame the network maintains, constructively (each counter
+//! For every frame a node maintains, constructively (each counter
 //! incremented at its own source, never derived by subtraction):
 //!
 //! ```text
@@ -32,37 +41,12 @@ pub mod bytes;
 pub mod frame;
 pub mod tcp;
 
+use crate::run::{self, Node};
 use crate::{lz, ClusterError, MsgTransport, NetStats, SiteId, Wire};
-use frame::{FRAME_HEADER_BYTES, FRAME_METHOD_BYTES, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED};
-use std::collections::VecDeque;
-use std::time::Duration;
+use frame::{MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED};
 
 pub use frame::{in_mem_pair, InMemLink};
 pub use tcp::{join_mesh, Inbound, NodeEndpoint, ReaderGuard, TcpLink};
-
-/// One end of one framed byte link. `send_frame` writes a complete
-/// `[len][method][body]` frame; `recv_frame` blocks for (or, on the
-/// in-process channel, requires) the next one. All failures are
-/// [`ClusterError::Transport`] — implementations never panic on
-/// malformed or truncated input.
-pub trait ByteTransport: Send + std::fmt::Debug {
-    /// Write one frame (`method` says how `body` is packed — see
-    /// [`frame::METHOD_STORED`] / [`frame::METHOD_LZ`]).
-    fn send_frame(&mut self, method: u8, body: &[u8]) -> Result<(), ClusterError>;
-
-    /// Read the next frame.
-    fn recv_frame(&mut self) -> Result<(u8, Vec<u8>), ClusterError>;
-}
-
-impl ByteTransport for InMemLink {
-    fn send_frame(&mut self, method: u8, body: &[u8]) -> Result<(), ClusterError> {
-        frame::write_frame(self, method, body)
-    }
-
-    fn recv_frame(&mut self) -> Result<(u8, Vec<u8>), ClusterError> {
-        frame::read_frame(self)
-    }
-}
 
 /// Messages that can cross a byte link: they know their modeled size
 /// ([`Wire`]) *and* how to serialize/deserialize themselves.
@@ -71,14 +55,14 @@ pub trait FrameCodec: Wire + Sized + Send + std::fmt::Debug {
     /// **structural overhead**: bytes written beyond
     /// [`Wire::wire_size`] (tags, counts — see [`bytes`]). Encoders
     /// must uphold `out-growth == wire_size() + overhead`;
-    /// [`ByteNetwork::send`] debug-asserts it.
+    /// [`Node::send`] debug-asserts it.
     fn encode_frame(&self, out: &mut Vec<u8>) -> usize;
 
     /// Rebuild a message from one decoded frame body.
     fn decode_frame(body: &[u8]) -> Result<Self, ClusterError>;
 }
 
-/// Per-frame body packing applied by a [`ByteNetwork`].
+/// Per-frame body packing applied by a node's sends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
     /// Bodies ship verbatim.
@@ -132,9 +116,20 @@ pub struct TransportMeter {
     pub saved_bytes: u64,
 }
 
+impl TransportMeter {
+    /// Add the counters of `other` (meters of disjoint sends sum, and the
+    /// identity holds for the sum).
+    pub fn merge(&mut self, other: TransportMeter) {
+        self.frames += other.frames;
+        self.wire_bytes += other.wire_bytes;
+        self.modeled_bytes += other.modeled_bytes;
+        self.structural_bytes += other.structural_bytes;
+        self.saved_bytes += other.saved_bytes;
+    }
+}
+
 /// Unpack one received frame body per its method byte and decode the
-/// message — the receive half of the [`ByteNetwork::send`] recipe,
-/// shared with the per-site runtime (`cluster::run`).
+/// message — the receive half of the [`Node::send`] recipe.
 pub fn decode_body<M: FrameCodec>(method: u8, body: Vec<u8>) -> Result<M, ClusterError> {
     let body = match method {
         METHOD_STORED => body,
@@ -149,242 +144,131 @@ pub fn decode_body<M: FrameCodec>(method: u8, body: Vec<u8>) -> Result<M, Cluste
     M::decode_frame(&body)
 }
 
-/// How the receive side of a [`ByteNetwork`] is wired.
-#[derive(Debug)]
-enum RxSide {
-    /// Receive halves held directly, read deterministically in site
-    /// order (the in-process mesh).
-    Direct(Vec<Vec<Option<Box<dyn ByteTransport>>>>),
-    /// Per-site inbox channels fed by reader threads (the TCP mesh),
-    /// plus the guards that shut the readers down and join them when
-    /// the network is dropped.
-    Inboxes {
-        inboxes: Vec<std::sync::mpsc::Receiver<tcp::Inbound>>,
-        _guards: Vec<tcp::ReaderGuard>,
-    },
-}
-
 /// A byte-shipping drop-in for [`crate::Network`]: same send/drain
 /// discipline and identical modeled `|M|` accounting, but every message
 /// is serialized, framed, optionally compressed, pushed through a real
 /// byte link, and decoded on the receiving side from the received bytes
 /// alone.
 ///
+/// It drives a [`run`] node mesh from one thread: `send` is the sending
+/// node's [`Node::send`], `try_drain` receives through the receiving
+/// node's [`Node::recv`], and the meters are the nodes' meters merged.
+///
 /// Determinism: the network tracks how many frames are in flight per
-/// ordered link, so `try_drain` reads exactly the frames it knows exist
-/// (in sender-site order) — no polling, no timeouts on the in-process
-/// mesh, and reproducible byte counts for the benchmark gate.
+/// ordered link, so `try_drain` receives exactly the frames it knows
+/// exist and returns them in sender-site order (FIFO within each
+/// sender) — reproducible rounds and byte counts for the benchmark gate.
 #[derive(Debug)]
 pub struct ByteNetwork<M> {
-    n: usize,
-    tx: Vec<Vec<Option<Box<dyn ByteTransport>>>>,
-    rx: RxSide,
+    nodes: Vec<Node>,
     /// Frames in flight per `(src, dst)`.
     pending: Vec<Vec<usize>>,
-    /// Modeled `|M|` — identical accounting to [`crate::Network`].
-    stats: NetStats,
-    /// Measured on-wire traffic (bytes include the frame header).
-    wire: NetStats,
-    meter: TransportMeter,
-    compression: Compression,
-    scratch: Vec<u8>,
     _msg: std::marker::PhantomData<fn() -> M>,
 }
 
 impl<M: FrameCodec> ByteNetwork<M> {
-    /// An `n`-site network over deterministic in-process framed channels.
+    /// An `n`-site network over in-process frame channels
+    /// ([`run::mem_mesh`]).
     pub fn in_memory(n: usize) -> Self {
-        let mut tx: Vec<Vec<Option<Box<dyn ByteTransport>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut rx: Vec<Vec<Option<Box<dyn ByteTransport>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst {
-                    continue;
-                }
-                let (a, b) = in_mem_pair();
-                tx[src][dst] = Some(Box::new(a));
-                rx[src][dst] = Some(Box::new(b));
-            }
-        }
-        ByteNetwork::with_parts(n, tx, RxSide::Direct(rx))
+        ByteNetwork::over(run::mem_mesh(n))
     }
 
-    /// An `n`-site network over localhost TCP sockets (one connection per
-    /// ordered pair; each site's inbound links serviced by dedicated
-    /// reader threads).
+    /// An `n`-site network over localhost TCP sockets ([`run::tcp_mesh`]:
+    /// one connection per ordered pair; each site's inbound links
+    /// serviced by dedicated reader threads).
     pub fn tcp_localhost(n: usize) -> Result<Self, ClusterError> {
-        let mesh = tcp::TcpMesh::localhost(n)?;
-        let tx = mesh
-            .tx
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|l| l.map(|l| Box::new(l) as Box<dyn ByteTransport>))
-                    .collect()
-            })
-            .collect();
-        Ok(ByteNetwork::with_parts(
-            n,
-            tx,
-            RxSide::Inboxes {
-                inboxes: mesh.rx,
-                _guards: mesh.guards,
-            },
-        ))
+        Ok(ByteNetwork::over(run::tcp_mesh(n)?))
     }
 
-    fn with_parts(n: usize, tx: Vec<Vec<Option<Box<dyn ByteTransport>>>>, rx: RxSide) -> Self {
+    fn over(nodes: Vec<Node>) -> Self {
+        let n = nodes.len();
         ByteNetwork {
-            n,
-            tx,
-            rx,
+            nodes,
             pending: vec![vec![0; n]; n],
-            stats: NetStats::new(n),
-            wire: NetStats::new(n),
-            meter: TransportMeter::default(),
-            compression: Compression::default(),
-            scratch: Vec::new(),
             _msg: std::marker::PhantomData,
         }
     }
 
     /// Select the per-frame body packing.
     pub fn with_compression(mut self, compression: Compression) -> Self {
-        self.compression = compression;
+        self.nodes = self
+            .nodes
+            .into_iter()
+            .map(|node| node.with_compression(compression))
+            .collect();
         self
     }
 
     /// Number of sites.
     pub fn n_sites(&self) -> usize {
-        self.n
+        self.nodes.len()
     }
 
     /// Modeled `|M|` statistics (same accounting as [`crate::Network`]).
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
+    pub fn stats(&self) -> NetStats {
+        self.merged(Node::stats)
     }
 
     /// Measured on-wire statistics: per-link frame counts and actual
     /// bytes including framing.
-    pub fn wire_stats(&self) -> &NetStats {
-        &self.wire
+    pub fn wire_stats(&self) -> NetStats {
+        self.merged(Node::wire_stats)
+    }
+
+    fn merged(&self, part: fn(&Node) -> &NetStats) -> NetStats {
+        let mut all = NetStats::new(self.n_sites());
+        for node in &self.nodes {
+            all.merge(part(node));
+        }
+        all
     }
 
     /// Whole-run transport counters.
     pub fn meter(&self) -> TransportMeter {
-        self.meter
+        let mut all = TransportMeter::default();
+        for node in &self.nodes {
+            all.merge(node.meter());
+        }
+        all
     }
 
     /// Ship `msg` from `src` to `dst` as a real frame.
     pub fn send(&mut self, src: SiteId, dst: SiteId, msg: M) -> Result<(), ClusterError> {
-        if src == dst {
-            return Err(ClusterError::Loopback(src));
-        }
-        if src >= self.n || dst >= self.n {
-            return Err(ClusterError::UnknownSite(dst.max(src)));
-        }
-        self.scratch.clear();
-        let structural = msg.encode_frame(&mut self.scratch);
-        debug_assert_eq!(
-            self.scratch.len(),
-            msg.wire_size() + structural,
-            "encoder broke the overhead identity"
-        );
-        // The frame bound applies to the *serialized* message, not to
-        // whatever compression makes of it: receivers cap decompressed
-        // output at MAX_FRAME_BYTES, so a message accepted here must be
-        // decodable there regardless of how well it packed.
-        if self.scratch.len() + FRAME_METHOD_BYTES > MAX_FRAME_BYTES {
-            return Err(ClusterError::Transport(format!(
-                "refusing to send an oversized message ({} > {MAX_FRAME_BYTES} bytes serialized)",
-                self.scratch.len() + FRAME_METHOD_BYTES
-            )));
-        }
-        let packed;
-        let (method, body): (u8, &[u8]) = match self.compression {
-            Compression::None => (METHOD_STORED, &self.scratch),
-            Compression::Lz => {
-                packed = lz::compress(&self.scratch);
-                if packed.len() < self.scratch.len() {
-                    (METHOD_LZ, &packed)
-                } else {
-                    (METHOD_STORED, &self.scratch)
-                }
-            }
-        };
-        let link = self.tx[src][dst]
-            .as_mut()
-            .expect("off-diagonal links always exist");
-        link.send_frame(method, body)?;
-        let wire_len = FRAME_HEADER_BYTES + FRAME_METHOD_BYTES + body.len();
-        self.stats
-            .record(src, dst, msg.wire_size(), msg.eqid_count());
-        self.wire.record(src, dst, wire_len, 0);
-        self.meter.frames += 1;
-        self.meter.wire_bytes += wire_len as u64;
-        self.meter.modeled_bytes += msg.wire_size() as u64;
-        self.meter.structural_bytes +=
-            (structural + FRAME_HEADER_BYTES + FRAME_METHOD_BYTES) as u64;
-        self.meter.saved_bytes += (self.scratch.len() - body.len()) as u64;
+        let node = self
+            .nodes
+            .get_mut(src)
+            .ok_or(ClusterError::UnknownSite(src))?;
+        node.send(dst, &msg)?;
         self.pending[src][dst] += 1;
         Ok(())
-    }
-
-    fn decode(method: u8, body: Vec<u8>) -> Result<M, ClusterError> {
-        decode_body(method, body)
     }
 
     /// Receive and decode every in-flight frame addressed to `site`,
     /// grouped in sender-site order (FIFO within each sender).
     pub fn try_drain(&mut self, site: SiteId) -> Result<Vec<(SiteId, M)>, ClusterError> {
-        if site >= self.n {
-            return Err(ClusterError::UnknownSite(site));
-        }
+        let node = self
+            .nodes
+            .get_mut(site)
+            .ok_or(ClusterError::UnknownSite(site))?;
         // Pending counters are decremented exactly when a frame has been
-        // consumed off its link (even if it then fails to decode), so an
+        // consumed off the inbox (even if it then fails to decode), so an
         // error mid-drain leaves the bookkeeping matching what is still
         // buffered: unread frames stay pending, consumed frames don't.
-        let mut out = Vec::new();
-        match &mut self.rx {
-            RxSide::Direct(links) => {
-                for (src, row) in links.iter_mut().enumerate() {
-                    let k = self.pending[src][site];
-                    for _ in 0..k {
-                        let link = row[site].as_mut().expect("pending frames imply a link");
-                        let (method, body) = link.recv_frame()?;
-                        self.pending[src][site] -= 1;
-                        out.push((src, Self::decode(method, body)?));
-                    }
-                }
-            }
-            RxSide::Inboxes { inboxes, .. } => {
-                let total: usize = (0..self.n).map(|src| self.pending[src][site]).sum();
-                let mut per_src: Vec<VecDeque<M>> = (0..self.n).map(|_| VecDeque::new()).collect();
-                for _ in 0..total {
-                    let (src, res) = inboxes[site]
-                        .recv_timeout(Duration::from_secs(10))
-                        .map_err(|_| {
-                            ClusterError::Transport(
-                                "timed out waiting for an in-flight frame (reader thread gone?)"
-                                    .into(),
-                            )
-                        })?;
-                    let (method, body) = res?;
-                    self.pending[src][site] =
-                        self.pending[src][site].checked_sub(1).ok_or_else(|| {
-                            ClusterError::Transport(format!(
-                                "unexpected frame from site {src} (nothing in flight)"
-                            ))
-                        })?;
-                    per_src[src].push_back(Self::decode(method, body)?);
-                }
-                for (src, msgs) in per_src.iter_mut().enumerate() {
-                    out.extend(msgs.drain(..).map(|m| (src, m)));
-                }
-            }
+        let in_flight: usize = self.pending.iter().map(|row| row[site]).sum();
+        let mut out = Vec::with_capacity(in_flight);
+        for _ in 0..in_flight {
+            let (src, method, body) = node.recv()?;
+            let slot = &mut self.pending[src][site];
+            *slot = slot.checked_sub(1).ok_or_else(|| {
+                ClusterError::Transport(format!(
+                    "unexpected frame from site {src} (nothing in flight)"
+                ))
+            })?;
+            out.push((src, decode_body(method, body)?));
         }
+        // The inbox interleaves senders in arrival order; a stable sort
+        // restores sender-site order and keeps each sender's FIFO.
+        out.sort_by_key(|&(src, _)| src);
         Ok(out)
     }
 
@@ -396,9 +280,9 @@ impl<M: FrameCodec> ByteNetwork<M> {
     /// Reset every meter (links must be idle).
     pub fn reset_stats(&mut self) {
         debug_assert!(self.quiescent());
-        self.stats.reset();
-        self.wire.reset();
-        self.meter = TransportMeter::default();
+        for node in &mut self.nodes {
+            node.reset_stats();
+        }
     }
 }
 
@@ -419,11 +303,11 @@ impl<M: FrameCodec> MsgTransport<M> for ByteNetwork<M> {
         ByteNetwork::quiescent(self)
     }
 
-    fn stats(&self) -> &NetStats {
+    fn stats(&self) -> NetStats {
         ByteNetwork::stats(self)
     }
 
-    fn wire_stats(&self) -> Option<&NetStats> {
+    fn wire_stats(&self) -> Option<NetStats> {
         Some(ByteNetwork::wire_stats(self))
     }
 

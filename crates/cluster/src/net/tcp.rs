@@ -1,21 +1,25 @@
 //! Localhost TCP mesh: `std::net::TcpListener`/`TcpStream` links between
-//! sites, with each site's receive side running on its own threads.
+//! nodes, with each node's receive side running on its own threads.
 //!
-//! Topology: one listener per site, one connection per **ordered** pair
+//! Topology: one listener per node, one connection per **ordered** pair
 //! `(src, dst)` — `src` holds the write half, `dst` the read half. After
-//! the mesh is up, every site's inbound connections are serviced by
+//! the mesh is up, every node's inbound connections are serviced by
 //! dedicated reader threads that pull length-prefixed frames off the
-//! socket and push `(src, frame)` into the site's inbox channel, so
+//! socket and push `(src, frame)` into the node's inbox channel, so
 //! receiving genuinely happens concurrently with the sender's work. A
 //! reader thread exits on a clean close and forwards any mid-stream error
 //! (truncated frame, reset connection) into the inbox, where the next
-//! drain surfaces it as a [`ClusterError::Transport`].
+//! receive surfaces it as a [`ClusterError::Transport`].
 //!
 //! The handshake is minimal: the connecting side's first frame body is
 //! its 4-byte site id, so the accepting side can label the link.
+//!
+//! Both mesh formers — the in-process one behind `run::tcp_mesh` (all
+//! nodes in one process, ephemeral ports) and [`join_mesh`] (one node per
+//! process, fixed ports) — connect out and accept in through the same
+//! two helpers, and hand each node a [`NodeEndpoint`].
 
 use super::frame::{read_frame, read_frame_opt, write_frame, METHOD_STORED};
-use super::ByteTransport;
 use crate::{ClusterError, SiteId};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -37,19 +41,15 @@ impl TcpLink {
             .map_err(|e| ClusterError::Transport(format!("set_nodelay: {e}")))?;
         Ok(TcpLink { stream })
     }
-}
 
-impl ByteTransport for TcpLink {
-    fn send_frame(&mut self, method: u8, body: &[u8]) -> Result<(), ClusterError> {
+    /// Write one frame (`method` says how `body` is packed — see
+    /// [`super::frame::METHOD_STORED`] / [`super::frame::METHOD_LZ`]).
+    pub fn send_frame(&mut self, method: u8, body: &[u8]) -> Result<(), ClusterError> {
         write_frame(&mut self.stream, method, body)
     }
-
-    fn recv_frame(&mut self) -> Result<(u8, Vec<u8>), ClusterError> {
-        read_frame(&mut self.stream)
-    }
 }
 
-/// What a reader thread delivers into a site's inbox: the sending site
+/// What a reader thread delivers into a node's inbox: the sending site
 /// and the frame (or the transport error that ended the link).
 pub type Inbound = (SiteId, Result<(u8, Vec<u8>), ClusterError>);
 
@@ -91,15 +91,17 @@ impl Drop for ReaderGuard {
     }
 }
 
-/// A fully connected localhost mesh.
+/// One node's view of a TCP mesh: its write halves, its inbox, and the
+/// guard over its own reader threads. This is what a per-site thread (or
+/// a whole `site` process) owns — see `cluster::run`.
 #[derive(Debug)]
-pub(crate) struct TcpMesh {
-    /// Write halves, `[src][dst]` (`None` on the diagonal).
-    pub tx: Vec<Vec<Option<TcpLink>>>,
-    /// Per-site inbox fed by that site's reader threads.
-    pub rx: Vec<Receiver<Inbound>>,
-    /// Per-site reader-thread guards (joined on drop).
-    pub guards: Vec<ReaderGuard>,
+pub struct NodeEndpoint {
+    /// Write halves to every other node (`None` at `me`).
+    pub tx: Vec<Option<TcpLink>>,
+    /// Inbox fed by this node's reader threads.
+    pub rx: Receiver<Inbound>,
+    /// Reader threads for the inbound links (joined on drop).
+    pub guard: ReaderGuard,
 }
 
 fn terr(what: &str, e: std::io::Error) -> ClusterError {
@@ -124,107 +126,84 @@ fn spawn_reader(mut stream: TcpStream, src: SiteId, inbox: Sender<Inbound>) -> J
     })
 }
 
-impl TcpMesh {
-    /// Stand up an `n`-site mesh on `127.0.0.1` ephemeral ports: bind one
-    /// listener per site, connect every ordered pair, handshake site ids,
-    /// and spawn each site's reader threads.
-    pub(crate) fn localhost(n: usize) -> Result<TcpMesh, ClusterError> {
-        let listeners: Vec<TcpListener> = (0..n)
-            .map(|_| TcpListener::bind("127.0.0.1:0").map_err(|e| terr("bind listener", e)))
-            .collect::<Result<_, _>>()?;
-        let addrs: Vec<_> = listeners
-            .iter()
-            .map(|l| l.local_addr().map_err(|e| terr("local_addr", e)))
-            .collect::<Result<_, _>>()?;
-
-        // Connect every ordered pair; the OS accept backlog holds the
-        // connections until each site's accept loop below picks them up.
-        let mut tx: Vec<Vec<Option<TcpLink>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for (src, row) in tx.iter_mut().enumerate() {
-            for (dst, addr) in addrs.iter().enumerate() {
-                if dst == src {
-                    continue;
-                }
-                let stream = TcpStream::connect(addr)
-                    .map_err(|e| terr(&format!("connect {src}→{dst}"), e))?;
-                let mut link = TcpLink::new(stream)?;
-                link.send_frame(METHOD_STORED, &(src as u32).to_le_bytes())?;
-                row[dst] = Some(link);
+/// Open node `me`'s write half to every other node (`connect(dst)` dials
+/// `dst`'s listener) and handshake `me`'s id on each.
+fn connect_out(
+    n: usize,
+    me: SiteId,
+    mut connect: impl FnMut(SiteId) -> Result<TcpStream, ClusterError>,
+) -> Result<Vec<Option<TcpLink>>, ClusterError> {
+    (0..n)
+        .map(|dst| {
+            if dst == me {
+                return Ok(None);
             }
+            let mut link = TcpLink::new(connect(dst)?)?;
+            link.send_frame(METHOD_STORED, &(me as u32).to_le_bytes())?;
+            Ok(Some(link))
+        })
+        .collect()
+}
+
+/// Accept node `me`'s `n − 1` inbound links off `listener`, label each by
+/// its handshake frame, and give each its own reader thread feeding
+/// `me`'s inbox. `tx` is `me`'s side of [`connect_out`].
+fn accept_in(
+    listener: &TcpListener,
+    n: usize,
+    me: SiteId,
+    tx: Vec<Option<TcpLink>>,
+) -> Result<NodeEndpoint, ClusterError> {
+    let (inbox, rx) = channel();
+    let mut guard = ReaderGuard::default();
+    let mut seen = vec![false; n];
+    for _ in 0..n.saturating_sub(1) {
+        let (mut stream, _) = listener.accept().map_err(|e| terr("accept", e))?;
+        let hello: [u8; 4] = read_frame(&mut stream)?
+            .1
+            .try_into()
+            .map_err(|_| ClusterError::Transport("malformed site-id handshake frame".into()))?;
+        let src = u32::from_le_bytes(hello) as usize;
+        if src >= n || src == me || std::mem::replace(&mut seen[src], true) {
+            return Err(ClusterError::Transport(format!(
+                "unexpected handshake: site {src} connecting to {me}"
+            )));
         }
-
-        // Accept side: n−1 inbound links per site, identified by the
-        // handshake frame, each serviced by its own reader thread.
-        let mut rx = Vec::with_capacity(n);
-        let mut guards = Vec::with_capacity(n);
-        for (dst, listener) in listeners.into_iter().enumerate() {
-            let (inbox_tx, inbox_rx) = channel();
-            let mut guard = ReaderGuard::default();
-            let mut seen = vec![false; n];
-            for _ in 0..n.saturating_sub(1) {
-                let (mut stream, _) = listener.accept().map_err(|e| terr("accept", e))?;
-                let src = read_handshake(&mut stream, n, dst)?;
-                if seen[src] {
-                    return Err(ClusterError::Transport(format!(
-                        "unexpected handshake: site {src} connecting to {dst}"
-                    )));
-                }
-                seen[src] = true;
-                stream
-                    .set_nodelay(true)
-                    .map_err(|e| terr("set_nodelay", e))?;
-                let half = stream.try_clone().map_err(|e| terr("try_clone", e))?;
-                guard.push(half, spawn_reader(stream, src, inbox_tx.clone()));
-            }
-            rx.push(inbox_rx);
-            guards.push(guard);
-        }
-        Ok(TcpMesh { tx, rx, guards })
+        stream
+            .set_nodelay(true)
+            .map_err(|e| terr("set_nodelay", e))?;
+        let half = stream.try_clone().map_err(|e| terr("try_clone", e))?;
+        guard.push(half, spawn_reader(stream, src, inbox.clone()));
     }
+    Ok(NodeEndpoint { tx, rx, guard })
 }
 
-/// Validate one inbound handshake frame, returning the connecting site.
-fn read_handshake(stream: &mut TcpStream, n: usize, dst: SiteId) -> Result<SiteId, ClusterError> {
-    let (_, hello) = read_frame(stream)?;
-    if hello.len() != 4 {
-        return Err(ClusterError::Transport(
-            "malformed site-id handshake frame".into(),
-        ));
-    }
-    let src = u32::from_le_bytes(hello.try_into().expect("4")) as usize;
-    if src >= n || src == dst {
-        return Err(ClusterError::Transport(format!(
-            "unexpected handshake: site {src} connecting to {dst}"
-        )));
-    }
-    Ok(src)
-}
-
-/// One node's view of a TCP mesh: its write halves, its inbox, and the
-/// guard over its own reader threads. This is what a per-site thread (or
-/// a whole `site` process) owns — see `cluster::run`.
-#[derive(Debug)]
-pub struct NodeEndpoint {
-    /// Write halves to every other node (`None` at `me`).
-    pub tx: Vec<Option<TcpLink>>,
-    /// Inbox fed by this node's reader threads.
-    pub rx: Receiver<Inbound>,
-    /// Reader threads for the inbound links (joined on drop).
-    pub guard: ReaderGuard,
-}
-
-impl TcpMesh {
-    /// Split the mesh into one [`NodeEndpoint`] per site, so each site's
-    /// thread owns exactly its own links, inbox and readers.
-    pub(crate) fn into_node_endpoints(self) -> Vec<NodeEndpoint> {
-        let TcpMesh { tx, rx, guards } = self;
-        tx.into_iter()
-            .zip(rx)
-            .zip(guards)
-            .map(|((tx, rx), guard)| NodeEndpoint { tx, rx, guard })
-            .collect()
-    }
+/// Stand up an `n`-node mesh on `127.0.0.1` ephemeral ports inside this
+/// process: bind one listener per node, connect every ordered pair, then
+/// accept each node's inbound links. One [`NodeEndpoint`] per node.
+pub(crate) fn localhost_mesh(n: usize) -> Result<Vec<NodeEndpoint>, ClusterError> {
+    let listeners: Vec<TcpListener> = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0").map_err(|e| terr("bind listener", e)))
+        .collect::<Result<_, _>>()?;
+    let addrs: Vec<_> = listeners
+        .iter()
+        .map(|l| l.local_addr().map_err(|e| terr("local_addr", e)))
+        .collect::<Result<_, _>>()?;
+    // Connect every ordered pair first; the OS accept backlog holds the
+    // connections until each node's accept loop below picks them up.
+    let txs = (0..n)
+        .map(|me| {
+            connect_out(n, me, |dst| {
+                TcpStream::connect(addrs[dst]).map_err(|e| terr(&format!("connect {me}→{dst}"), e))
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    listeners
+        .iter()
+        .zip(txs)
+        .enumerate()
+        .map(|(me, (listener, tx))| accept_in(listener, n, me, tx))
+        .collect()
 }
 
 /// Join an `n`-node mesh on fixed localhost ports as node `me` — the
@@ -237,56 +216,24 @@ pub fn join_mesh(n: usize, me: SiteId, base_port: u16) -> Result<NodeEndpoint, C
     if me >= n {
         return Err(ClusterError::UnknownSite(me));
     }
-    let listener = TcpListener::bind(("127.0.0.1", base_port + me as u16))
-        .map_err(|e| terr(&format!("bind port {}", base_port + me as u16), e))?;
-
+    let port = |site: SiteId| base_port + site as u16;
+    let listener = TcpListener::bind(("127.0.0.1", port(me)))
+        .map_err(|e| terr(&format!("bind port {}", port(me)), e))?;
     // Connect out (the OS accept backlog holds our inbound connections
     // while we do). Peers may not have bound yet — retry briefly.
-    let mut tx: Vec<Option<TcpLink>> = (0..n).map(|_| None).collect();
-    for (dst, slot) in tx.iter_mut().enumerate() {
-        if dst == me {
-            continue;
-        }
+    let tx = connect_out(n, me, |dst| {
         let deadline = Instant::now() + Duration::from_secs(30);
-        let stream = loop {
-            match TcpStream::connect(("127.0.0.1", base_port + dst as u16)) {
-                Ok(s) => break s,
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
+        loop {
+            match TcpStream::connect(("127.0.0.1", port(dst))) {
+                Ok(s) => return Ok(s),
+                Err(_) if Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(20));
                 }
                 Err(e) => return Err(terr(&format!("connect {me}→{dst}"), e)),
             }
-        };
-        let mut link = TcpLink::new(stream)?;
-        link.send_frame(METHOD_STORED, &(me as u32).to_le_bytes())?;
-        *slot = Some(link);
-    }
-
-    // Accept the inbound half of every link.
-    let (inbox_tx, inbox_rx) = channel();
-    let mut guard = ReaderGuard::default();
-    let mut seen = vec![false; n];
-    for _ in 0..n.saturating_sub(1) {
-        let (mut stream, _) = listener.accept().map_err(|e| terr("accept", e))?;
-        let src = read_handshake(&mut stream, n, me)?;
-        if seen[src] {
-            return Err(ClusterError::Transport(format!(
-                "unexpected handshake: node {src} connecting to {me} twice"
-            )));
         }
-        seen[src] = true;
-        stream
-            .set_nodelay(true)
-            .map_err(|e| terr("set_nodelay", e))?;
-        let half = stream.try_clone().map_err(|e| terr("try_clone", e))?;
-        guard.push(half, spawn_reader(stream, src, inbox_tx.clone()));
-    }
-    Ok(NodeEndpoint {
-        tx,
-        rx: inbox_rx,
-        guard,
-    })
+    })?;
+    accept_in(&listener, n, me, tx)
 }
 
 #[cfg(test)]
@@ -296,20 +243,21 @@ mod tests {
 
     #[test]
     fn mesh_ships_frames_between_sites() {
-        let mut mesh = TcpMesh::localhost(3).unwrap();
-        mesh.tx[0][2]
+        let mut mesh = localhost_mesh(3).unwrap();
+        mesh[0].tx[2]
             .as_mut()
             .unwrap()
             .send_frame(METHOD_STORED, b"zero to two")
             .unwrap();
-        mesh.tx[1][2]
+        mesh[1].tx[2]
             .as_mut()
             .unwrap()
             .send_frame(METHOD_STORED, b"one to two")
             .unwrap();
         let mut got = Vec::new();
         for _ in 0..2 {
-            let (src, frame) = mesh.rx[2]
+            let (src, frame) = mesh[2]
+                .rx
                 .recv_timeout(std::time::Duration::from_secs(5))
                 .expect("frame arrives");
             got.push((src, frame.unwrap().1));
@@ -327,9 +275,9 @@ mod tests {
         // reader thread, and the guard must join them all (observable:
         // drop returns, nothing deadlocks, and the ports are reusable).
         for _ in 0..3 {
-            let mut mesh = TcpMesh::localhost(4).unwrap();
+            let mut mesh = localhost_mesh(4).unwrap();
             for dst in 1..4 {
-                mesh.tx[0][dst]
+                mesh[0].tx[dst]
                     .as_mut()
                     .unwrap()
                     .send_frame(METHOD_STORED, b"never read")
@@ -338,13 +286,14 @@ mod tests {
             drop(mesh); // readers shut down and joined here
         }
         // A fresh mesh after the drops still round-trips.
-        let mut mesh = TcpMesh::localhost(2).unwrap();
-        mesh.tx[1][0]
+        let mut mesh = localhost_mesh(2).unwrap();
+        mesh[1].tx[0]
             .as_mut()
             .unwrap()
             .send_frame(METHOD_STORED, b"alive")
             .unwrap();
-        let (src, frame) = mesh.rx[0]
+        let (src, frame) = mesh[0]
+            .rx
             .recv_timeout(std::time::Duration::from_secs(5))
             .unwrap();
         assert_eq!((src, frame.unwrap().1), (1, b"alive".to_vec()));
@@ -355,14 +304,15 @@ mod tests {
         // Site 1 vanishes (drop of its write half) while site 0 still
         // expects traffic: the reader exits cleanly; a *mid-frame* cut
         // forwards one Transport error into the inbox.
-        let mut mesh = TcpMesh::localhost(2).unwrap();
+        let mut mesh = localhost_mesh(2).unwrap();
         // Half a frame from 1 → 0, then hang up.
-        let link = mesh.tx[1][0].as_mut().unwrap();
+        let link = mesh[1].tx[0].as_mut().unwrap();
         link.stream.write_all(&9u32.to_le_bytes()).unwrap();
         link.stream.write_all(&[METHOD_STORED]).unwrap();
         link.stream.write_all(b"abc").unwrap();
-        mesh.tx[1][0] = None; // disconnect mid-frame
-        let (src, res) = mesh.rx[0]
+        mesh[1].tx[0] = None; // disconnect mid-frame
+        let (src, res) = mesh[0]
+            .rx
             .recv_timeout(std::time::Duration::from_secs(5))
             .expect("error is delivered, not swallowed");
         assert_eq!(src, 1);

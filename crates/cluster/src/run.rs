@@ -1,11 +1,9 @@
-//! The per-node frame runtime: what one site's **thread or process**
-//! owns when every site is a real unit of execution.
+//! The per-node frame runtime: the framed substrate every real-byte
+//! drive runs on.
 //!
-//! [`crate::net::ByteNetwork`] holds all `n²` links in one struct and is
-//! driven by a single thread. This module splits the same substrate into
-//! `n` independent [`Node`]s — each owning its write halves, its inbox,
-//! and its own meters — so a detector can run one OS thread (or one OS
-//! process) per site, communicating *only* via frames:
+//! An `n`-site mesh is `n` independent [`Node`]s, each owning its write
+//! halves, its inbox, and the meters of its own sends, communicating
+//! *only* via frames:
 //!
 //! * [`mem_mesh`] — `n` nodes over in-process frame channels (each send
 //!   delivers one complete `(method, body)` frame into the receiver's
@@ -16,29 +14,33 @@
 //!   the multi-process former: every participating process builds its
 //!   own node over fixed localhost ports.
 //!
+//! The mesh is driven two ways. The thread-per-site and multi-process
+//! runtimes hand each node its own thread or process.
+//! [`ByteNetwork`] is the single-thread driver of the same nodes: it
+//! sends through the sender's node, receives through the receiver's, and
+//! merges the nodes' meters — so there is one send recipe, one receive
+//! path and one mesh setup behind every framed drive.
+//!
 //! # Metering
 //!
-//! Each node meters its *sends* with exactly the [`ByteNetwork::send`]
-//! recipe (modeled `|M|`, measured wire bytes, and the transport-meter
-//! identity `wire == modeled + structural − saved`), into node-local
-//! [`NetStats`] matrices. Merging every node's meters therefore
-//! reproduces, counter for counter, what a single-threaded
-//! [`ByteNetwork`] drive of the same frames would have recorded — the
-//! differential suites assert this. Protocol messages go through
-//! [`Node::send`]; runtime control traffic (acks, wave barriers, op
-//! shipments) goes through [`Node::send_ctrl`], which is framed and
-//! wire-metered identically but contributes **zero** modeled `|M|` and
-//! zero modeled messages — the model meters the detection protocol, not
-//! the harness that schedules it.
+//! [`Node::send`] holds the framed send recipe (encode → overhead
+//! identity → size cap → optional LZ → link write → meter): modeled
+//! `|M|`, measured wire bytes, and the transport-meter identity
+//! `wire == modeled + structural − saved`, into node-local [`NetStats`]
+//! matrices. Merging every node's meters gives the whole-mesh picture.
+//! Protocol messages go through [`Node::send`]; runtime control traffic
+//! (acks, wave barriers, op shipments) goes through [`Node::send_ctrl`],
+//! which is framed and wire-metered identically but contributes **zero**
+//! modeled `|M|` and zero modeled messages — the model meters the
+//! detection protocol, not the harness that schedules it.
 //!
 //! [`ByteNetwork`]: crate::net::ByteNetwork
-//! [`ByteNetwork::send`]: crate::net::ByteNetwork::send
 
 use crate::net::frame::{
     FRAME_HEADER_BYTES, FRAME_METHOD_BYTES, MAX_FRAME_BYTES, METHOD_LZ, METHOD_STORED,
 };
 use crate::net::tcp::{self, Inbound, NodeEndpoint, ReaderGuard, TcpLink};
-use crate::net::{decode_body, ByteTransport, Compression, FrameCodec, TransportMeter};
+use crate::net::{decode_body, Compression, FrameCodec, TransportMeter};
 use crate::{lz, ClusterError, NetStats, SiteId};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
@@ -123,8 +125,7 @@ impl Node {
         self.me
     }
 
-    /// Ship a **protocol** message: full [`crate::net::ByteNetwork`]
-    /// accounting (modeled `|M|` + wire).
+    /// Ship a **protocol** message: modeled `|M|` and wire accounting.
     pub fn send<M: FrameCodec>(&mut self, dst: SiteId, msg: &M) -> Result<(), ClusterError> {
         self.send_inner(dst, msg, true)
     }
@@ -156,6 +157,10 @@ impl Node {
             msg.wire_size() + structural,
             "encoder broke the overhead identity"
         );
+        // The frame bound applies to the *serialized* message, not to
+        // whatever compression makes of it: receivers cap decompressed
+        // output at MAX_FRAME_BYTES, so a message accepted here must be
+        // decodable there regardless of how well it packed.
         if self.scratch.len() + FRAME_METHOD_BYTES > MAX_FRAME_BYTES {
             return Err(ClusterError::Transport(format!(
                 "refusing to send an oversized message ({} > {MAX_FRAME_BYTES} bytes serialized)",
@@ -305,8 +310,7 @@ pub fn mem_mesh(n: usize) -> Vec<Node> {
 /// Each node's inbound links are serviced by its own reader threads,
 /// joined when the node drops.
 pub fn tcp_mesh(n: usize) -> Result<Vec<Node>, ClusterError> {
-    let eps = tcp::TcpMesh::localhost(n)?.into_node_endpoints();
-    Ok(eps
+    Ok(tcp::localhost_mesh(n)?
         .into_iter()
         .enumerate()
         .map(|(me, ep)| Node::from_endpoint(n, me, ep))
@@ -403,12 +407,7 @@ mod tests {
         for w in workers {
             let w = w.join().unwrap();
             stats.merge(w.stats());
-            let m = w.meter();
-            meter.frames += m.frames;
-            meter.wire_bytes += m.wire_bytes;
-            meter.modeled_bytes += m.modeled_bytes;
-            meter.structural_bytes += m.structural_bytes;
-            meter.saved_bytes += m.saved_bytes;
+            meter.merge(w.meter());
         }
         assert_eq!(stats.total_messages(), 2 * (n as u64 - 1));
         assert_eq!(stats.total_bytes(), 2 * (n as u64 - 1) * 16);
@@ -417,29 +416,38 @@ mod tests {
             meter.wire_bytes,
             meter.modeled_bytes + meter.structural_bytes - meter.saved_bytes
         );
-        // Prove the meters match what a single-threaded ByteNetwork
-        // records for the same message set.
-        let mut reference: crate::net::ByteNetwork<Nums> = crate::net::ByteNetwork::in_memory(n);
-        for dst in 1..n {
-            reference.send(0, dst, Nums(vec![dst as u64, 7])).unwrap();
-            reference.try_drain(dst).unwrap();
-            reference
-                .send(dst, 0, Nums(vec![2 * dst as u64, 14]))
-                .unwrap();
-            reference.try_drain(0).unwrap();
+        // Expected counters, computed from the messages sent: one frame
+        // per send, modeled bytes = Σ wire_size, and on every link used
+        // exactly one message of its payload's size.
+        let sent: Vec<(SiteId, SiteId, Nums)> = (1..n)
+            .flat_map(|s| {
+                [
+                    (0, s, Nums(vec![s as u64, 7])),
+                    (s, 0, Nums(vec![2 * s as u64, 14])),
+                ]
+            })
+            .collect();
+        assert_eq!(meter.frames, sent.len() as u64);
+        let modeled: usize = sent.iter().map(|(_, _, m)| m.wire_size()).sum();
+        assert_eq!(meter.modeled_bytes, modeled as u64);
+        assert_eq!(stats.total_bytes(), modeled as u64);
+        for (src, dst, m) in &sent {
+            let link = stats.pair(*src, *dst);
+            assert_eq!((link.messages, link.bytes), (1, m.wire_size() as u64));
         }
-        assert_eq!(stats.total_bytes(), reference.stats().total_bytes());
-        assert_eq!(meter.wire_bytes, reference.meter().wire_bytes);
-        assert_eq!(meter.structural_bytes, reference.meter().structural_bytes);
+        // Structural = per-frame header+method (5) + the u32 count (4);
+        // nothing is compressed.
+        assert_eq!(meter.structural_bytes, sent.len() as u64 * (5 + 4));
+        assert_eq!(meter.saved_bytes, 0);
     }
 
     #[test]
-    fn mem_mesh_round_trips_and_meters_like_bytenetwork() {
+    fn mem_mesh_round_trips_and_meters_each_send() {
         exercise(mem_mesh(4));
     }
 
     #[test]
-    fn tcp_mesh_round_trips_and_meters_like_bytenetwork() {
+    fn tcp_mesh_round_trips_and_meters_each_send() {
         exercise(tcp_mesh(4).unwrap());
     }
 

@@ -150,10 +150,10 @@ pub trait MsgTransport<M>: std::fmt::Debug + Send {
     fn quiescent(&self) -> bool;
 
     /// Modeled `|M|` statistics.
-    fn stats(&self) -> &NetStats;
+    fn stats(&self) -> NetStats;
 
     /// Measured on-wire statistics, when the substrate ships real bytes.
-    fn wire_stats(&self) -> Option<&NetStats> {
+    fn wire_stats(&self) -> Option<NetStats> {
         None
     }
 
@@ -183,8 +183,8 @@ impl<M: Wire + std::fmt::Debug + Send> MsgTransport<M> for Network<M> {
         Network::quiescent(self)
     }
 
-    fn stats(&self) -> &NetStats {
-        Network::stats(self)
+    fn stats(&self) -> NetStats {
+        Network::stats(self).clone()
     }
 
     fn reset_stats(&mut self) {

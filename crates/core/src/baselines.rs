@@ -371,16 +371,6 @@ fn bat_net(
     })
 }
 
-/// Field-wise accumulation of transport counters.
-fn merge_meter(acc: &mut Option<TransportMeter>, m: TransportMeter) {
-    let a = acc.get_or_insert_with(TransportMeter::default);
-    a.frames += m.frames;
-    a.wire_bytes += m.wire_bytes;
-    a.modeled_bytes += m.modeled_bytes;
-    a.structural_bytes += m.structural_bytes;
-    a.saved_bytes += m.saved_bytes;
-}
-
 // ----------------------------------------------------------------------
 // batVer
 // ----------------------------------------------------------------------
@@ -553,8 +543,8 @@ fn bat_ver_one(
     }
     Ok(CfdRun {
         tids: out,
-        stats: net.stats().clone(),
-        wire: net.wire_stats().cloned(),
+        stats: net.stats(),
+        wire: net.wire_stats(),
         meter: net.transport_meter(),
         rows_equiv,
     })
@@ -704,8 +694,8 @@ fn bat_hor_one(
     }
     Ok(CfdRun {
         tids: out,
-        stats: net.stats().clone(),
-        wire: net.wire_stats().cloned(),
+        stats: net.stats(),
+        wire: net.wire_stats(),
         meter: net.transport_meter(),
         rows_equiv,
     })
@@ -777,7 +767,7 @@ fn merge_results(n_cfds: usize, n_sites: usize, results: Vec<(CfdId, CfdRun)>) -
             wire.get_or_insert_with(|| NetStats::new(n_sites)).merge(&w);
         }
         if let Some(m) = run.meter {
-            merge_meter(&mut meter, m);
+            meter.get_or_insert_with(TransportMeter::default).merge(m);
         }
         rows_equiv_bytes += run.rows_equiv;
     }
@@ -856,8 +846,8 @@ pub fn ibat_hor_with(
     det.apply(&load)?;
     Ok(BatchOutcome {
         violations: det.violations().clone(),
-        stats: det.stats().clone(),
-        wire: det.wire_stats().cloned(),
+        stats: det.stats(),
+        wire: det.wire_stats(),
         meter: det.transport_meter(),
         rows_equiv_bytes: 0,
     })
@@ -1016,7 +1006,7 @@ macro_rules! batch_detector {
                     self.wire.get_or_insert_with(|| NetStats::new(n)).merge(w);
                 }
                 if let Some(m) = out.meter {
-                    merge_meter(&mut self.meter, m);
+                    self.meter.get_or_insert_with(TransportMeter::default).merge(m);
                 }
                 let dv = self.violations.diff(&out.violations);
                 self.violations = out.violations;

@@ -122,8 +122,8 @@ pub struct BatchImage {
     pub stats: Vec<u8>,
     /// Serialized measured on-wire matrix of this site's sends.
     pub wire: Vec<u8>,
-    /// `[frames, wire, modeled, structural, saved]` transport counters.
-    pub meter: [u64; 5],
+    /// Transport counters of this site's sends.
+    pub meter: TransportMeter,
 }
 
 /// Runtime control traffic: batch shipment, wave barriers, acks,
@@ -237,7 +237,14 @@ impl FrameCodec for CtrlMsg {
                 put_marks(out, &img.removed);
                 put_blob(out, &img.stats);
                 put_blob(out, &img.wire);
-                for x in img.meter {
+                let m = img.meter;
+                for x in [
+                    m.frames,
+                    m.wire_bytes,
+                    m.modeled_bytes,
+                    m.structural_bytes,
+                    m.saved_bytes,
+                ] {
                     out.extend_from_slice(&x.to_le_bytes());
                 }
             }
@@ -282,10 +289,13 @@ impl FrameCodec for CtrlMsg {
                 let removed = get_marks(&mut r)?;
                 let stats = get_blob(&mut r)?;
                 let wire = get_blob(&mut r)?;
-                let mut meter = [0u64; 5];
-                for m in &mut meter {
-                    *m = r.u64()?;
-                }
+                let meter = TransportMeter {
+                    frames: r.u64()?,
+                    wire_bytes: r.u64()?,
+                    modeled_bytes: r.u64()?,
+                    structural_bytes: r.u64()?,
+                    saved_bytes: r.u64()?,
+                };
                 CtrlMsg::BatchResult(Box::new(BatchImage {
                     added,
                     removed,
@@ -354,24 +364,6 @@ impl FrameCodec for RtFrame {
             Some(_) => Ok(RtFrame::Hor(HorMsg::decode_frame(body)?)),
         }
     }
-}
-
-fn meter_to_array(m: TransportMeter) -> [u64; 5] {
-    [
-        m.frames,
-        m.wire_bytes,
-        m.modeled_bytes,
-        m.structural_bytes,
-        m.saved_bytes,
-    ]
-}
-
-fn add_meter(acc: &mut TransportMeter, m: [u64; 5]) {
-    acc.frames += m[0];
-    acc.wire_bytes += m[1];
-    acc.modeled_bytes += m[2];
-    acc.structural_bytes += m[3];
-    acc.saved_bytes += m[4];
 }
 
 // ---------------------------------------------------------------------
@@ -754,7 +746,7 @@ impl SiteRunner {
             removed: std::mem::take(&mut self.dv.removed),
             stats: self.node.stats().to_bytes(),
             wire: self.node.wire_stats().to_bytes(),
-            meter: meter_to_array(self.node.meter()),
+            meter: self.node.meter(),
         };
         self.node
             .send_ctrl(COORD, &CtrlMsg::BatchResult(Box::new(img)))
@@ -1063,7 +1055,7 @@ impl ConcurrentHorizontal {
                         .merge(&NetStats::from_bytes(&img.stats).map_err(DetectError::Cluster)?);
                     self.wire
                         .merge(&NetStats::from_bytes(&img.wire).map_err(DetectError::Cluster)?);
-                    add_meter(&mut self.meter, img.meter);
+                    self.meter.merge(img.meter);
                     got += 1;
                 }
                 _ => return Err(proto("unexpected frame during collection")),
@@ -1082,7 +1074,7 @@ impl ConcurrentHorizontal {
     fn absorb_runner_meters(&mut self) {
         self.stats.merge(self.runner.node.stats());
         self.wire.merge(self.runner.node.wire_stats());
-        add_meter(&mut self.meter, meter_to_array(self.runner.node.meter()));
+        self.meter.merge(self.runner.node.meter());
         self.runner.node.reset_stats();
     }
 
@@ -1488,7 +1480,13 @@ mod tests {
                 removed: vec![(0, 9)],
                 stats: NetStats::new(3).to_bytes(),
                 wire: NetStats::new(3).to_bytes(),
-                meter: [1, 2, 3, 4, 5],
+                meter: TransportMeter {
+                    frames: 1,
+                    wire_bytes: 2,
+                    modeled_bytes: 3,
+                    structural_bytes: 4,
+                    saved_bytes: 5,
+                },
             })),
             CtrlMsg::Shutdown,
         ];

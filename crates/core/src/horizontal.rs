@@ -371,13 +371,13 @@ impl HorizontalDetector {
     }
 
     /// Network statistics since construction (or last reset).
-    pub fn stats(&self) -> &cluster::NetStats {
+    pub fn stats(&self) -> cluster::NetStats {
         self.net.stats()
     }
 
     /// Measured on-wire statistics (frames, actual bytes including
     /// framing), when the session runs over a real byte transport.
-    pub fn wire_stats(&self) -> Option<&cluster::NetStats> {
+    pub fn wire_stats(&self) -> Option<cluster::NetStats> {
         self.net.wire_stats()
     }
 
@@ -637,10 +637,9 @@ impl Detector for HorizontalDetector {
     }
 
     fn net(&self) -> cluster::NetReport {
-        let report =
-            cluster::NetReport::single(self.net.stats().clone()).with_codec(self.codec.name());
+        let report = cluster::NetReport::single(self.net.stats()).with_codec(self.codec.name());
         match self.net.wire_stats() {
-            Some(wire) => report.with_measured(wire.clone()),
+            Some(wire) => report.with_measured(wire),
             None => report,
         }
     }

@@ -261,7 +261,7 @@ impl HybridDetector {
     }
 
     /// Inter-region traffic (the §6 protocol).
-    pub fn inter_stats(&self) -> &NetStats {
+    pub fn inter_stats(&self) -> NetStats {
         self.inner.stats()
     }
 
@@ -466,11 +466,10 @@ impl Detector for HybridDetector {
     }
 
     fn net(&self) -> cluster::NetReport {
-        let report =
-            cluster::NetReport::two_tier(self.inner.stats().clone(), self.intra.stats().clone())
-                .with_codec(self.inner.codec_kind().name());
+        let report = cluster::NetReport::two_tier(self.inner.stats(), self.intra.stats().clone())
+            .with_codec(self.inner.codec_kind().name());
         match self.inner.wire_stats() {
-            Some(wire) => report.with_measured(wire.clone()),
+            Some(wire) => report.with_measured(wire),
             None => report,
         }
     }
