@@ -22,6 +22,10 @@
 //!
 //! Costs therefore stay `O(|ΔD| + |ΔV|)`: O(1) intra-region messages per
 //! update per CFD plus the `O(n)` worst-case inter-region rounds of §6.
+//!
+//! Row data is held by the inner inter-region detector only; a sub-site's
+//! vertical fragment is a projection of its region's fragment
+//! ([`HybridDetector::fragment`]).
 
 use crate::detector::{DetectError, Detector};
 use crate::horizontal::HorizontalDetector;
@@ -132,8 +136,6 @@ pub struct HybridDetector {
     inner: HorizontalDetector,
     /// Intra-region assembly traffic (global physical site ids).
     intra: Network<AsmMsg>,
-    /// Per (region, sub-site) vertical fragments.
-    fragments: Vec<Vec<Relation>>,
     /// Variable CFDs' attribute sets, precomputed.
     var_attrs: Vec<Option<Vec<AttrId>>>,
     /// Constant CFDs' atom attributes, precomputed.
@@ -150,9 +152,9 @@ pub struct HybridDetector {
 }
 
 impl HybridDetector {
-    /// Build over `d`, loading fragments and the inter-region state
-    /// (unmetered, like the other detectors). Ships MD5 digests between
-    /// region gateways — see [`HybridDetector::with_codec`].
+    /// Build over `d`, loading the inter-region state (unmetered, like
+    /// the other detectors). Ships MD5 digests between region gateways —
+    /// see [`HybridDetector::with_codec`].
     pub fn new(
         schema: Arc<Schema>,
         cfds: Vec<Cfd>,
@@ -197,11 +199,6 @@ impl HybridDetector {
             codec,
             transport,
         )?;
-        let mut fragments: Vec<Vec<Relation>> = Vec::with_capacity(scheme.n_regions());
-        let region_frags = scheme.regions.partition(d).map_err(DetectError::Cluster)?;
-        for (r, frag) in region_frags.iter().enumerate() {
-            fragments.push(scheme.verticals[r].partition(frag));
-        }
         let var_attrs = cfds
             .iter()
             .map(|c| c.is_variable().then(|| c.attrs()))
@@ -221,7 +218,6 @@ impl HybridDetector {
             intra: Network::new(scheme.n_sites()),
             scheme,
             inner,
-            fragments,
             var_attrs,
             const_attrs,
             needed_buf: FxHashSet::default(),
@@ -285,27 +281,24 @@ impl HybridDetector {
         self.inner.current()
     }
 
-    /// Fragment of `sub` within `region`.
-    pub fn fragment(&self, region: usize, sub: usize) -> &Relation {
-        &self.fragments[region][sub]
+    /// Fragment of `sub` within `region`, projected on demand from the
+    /// region's fragment — `O(|D|)`, for tests and inspection.
+    pub fn fragment(&self, region: usize, sub: usize) -> Relation {
+        self.scheme.verticals[region]
+            .partition(self.inner.fragment(region))
+            .swap_remove(sub)
     }
 
     /// Apply a batch update, metering intra-region assembly and running
     /// the inter-region §6 protocol.
     pub fn apply(&mut self, delta: &UpdateBatch) -> Result<DeltaV, DetectError> {
         let delta = delta.normalize(self.inner.current());
-        // Meter assembly and maintain sub-fragments per op.
+        // Meter assembly per op; the inner detector maintains the data.
         for op in delta.ops() {
             match op {
                 Update::Insert(t) => {
                     let region = self.scheme.regions.route(t).map_err(DetectError::Cluster)?;
                     self.meter_assembly(region, t)?;
-                    let vs = &self.scheme.verticals[region];
-                    for sub in 0..vs.n_sites() {
-                        self.fragments[region][sub]
-                            .insert(t.project(vs.attrs_of(sub)))
-                            .map_err(DetectError::Rel)?;
-                    }
                 }
                 Update::Delete(tid) => {
                     let t = self
@@ -319,9 +312,6 @@ impl HybridDetector {
                         .route(&t)
                         .map_err(DetectError::Cluster)?;
                     self.meter_assembly(region, &t)?;
-                    for frag in &mut self.fragments[region] {
-                        frag.delete(*tid).map_err(DetectError::Rel)?;
-                    }
                 }
             }
         }

@@ -7,8 +7,12 @@
 //! the per-CFD parallelism the batch baselines already use — and a serial
 //! replay phase that performs the protocol, keeping message counts, `|M|`
 //! accounting and `ΔV` order bit-identical to the sequential execution.
+//!
+//! The core count is read once per process (on Linux the query reads
+//! cgroup files, tens of µs per call), and a serial map never asks for it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Minimum `ops × CFDs` product before the parallel path engages — below
 /// this, thread spawn overhead dominates the saved work.
@@ -22,10 +26,15 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZero::get)
-        .min(n);
-    if !parallel || workers <= 1 {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let workers = if parallel && n > 1 {
+        let cores = CORES
+            .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get));
+        (*cores).min(n)
+    } else {
+        1
+    };
+    if workers <= 1 {
         return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);

@@ -20,7 +20,7 @@
 
 use crate::detector::DetectError;
 use crate::horizontal::HorMsg;
-use cfd::{Cfd, CfdId, DeltaV, MatchScratch, SharedPlan, Violations};
+use cfd::{Cfd, CfdId, DeltaV, MarkError, MatchScratch, SharedPlan, Violations};
 use cluster::codec::{
     value_digest as attr_digest, value_digest_into as attr_digest_into, PayloadCodec,
     ReceiverCodec, WireValue,
@@ -456,13 +456,11 @@ impl SiteCore {
                 continue;
             };
             let local_only = cfg.local_ok[c][self.me];
-            let g = self.state[c]
-                .get_mut(&kd)
-                .expect("deleted tuple's group must exist");
-            let cls = g
-                .classes
-                .get_mut(&bd)
-                .expect("deleted tuple's class must exist");
+            // A live tuple's insert created its group and class; a miss
+            // means the site state is out of sync with the fragment.
+            let broken = || DetectError::Invariant(MarkError { rule: cid, tid });
+            let g = self.state[c].get_mut(&kd).ok_or_else(broken)?;
+            let cls = g.classes.get_mut(&bd).ok_or_else(broken)?;
             cls.tids.remove(&tid);
             let class_empty = cls.tids.is_empty();
             if class_empty {
@@ -752,5 +750,28 @@ impl SiteCore {
                 groups.remove(&kd);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn deleting_a_tuple_without_group_state_is_an_invariant_error() {
+        let schema = Schema::new("R", &["id", "a", "b"], "id").unwrap();
+        let cfds = vec![Cfd::from_names(0, &schema, &[("a", None)], ("b", None)).unwrap()];
+        let scheme = HorizontalScheme::by_hash(schema.clone(), 0, 2).unwrap();
+        let cfg = SiteConfig::new(schema, cfds, &scheme);
+        let mut core = SiteCore::new(&cfg, 0, 2);
+        // The tuple was never inserted, so its group does not exist.
+        let t = Tuple::new(7, vec![Value::int(7), Value::int(1), Value::int(2)]);
+        let keyed = core.dispatch(&cfg, &t);
+        let (mut v, mut dv) = (Violations::new(1), DeltaV::default());
+        let err = core.delete(&cfg, &t, &keyed, &mut v, &mut dv).err();
+        assert!(matches!(
+            err,
+            Some(DetectError::Invariant(MarkError { rule: 0, tid: 7 }))
+        ));
     }
 }

@@ -3,7 +3,9 @@
 //! [`VerticalDetector`] owns the distributed state of algorithm `incVer`:
 //! per-attribute base HEVs (at their plan-designated sites), the non-base
 //! HEV nodes of an [`HevPlan`], one IDX per variable CFD (at the site
-//! maintaining `id[t_X]`), the fragment relations, and the violation set.
+//! maintaining `id[t_X]`), the constant-CFD candidate plan, and the
+//! violation set. Row data lives once, in the mirror of `D`; a site's
+//! fragment is a projection of it ([`VerticalDetector::fragment`]).
 //!
 //! * **Insertions** follow `incVIns` (Fig. 4): compute `id[t_X]` and
 //!   `id[t_{X∪B}]` by walking the plan (shipping eqids across sites, each
@@ -32,7 +34,7 @@ use cluster::partition::VerticalScheme;
 use cluster::{ClusterError, Network, SiteId, Wire};
 use relation::{
     AttrId, FxHashMap, FxHashSet, RelError, Relation, Schema, SmallVec, Sym, Tid, Tuple, Update,
-    UpdateBatch,
+    UpdateBatch, Value,
 };
 use std::sync::Arc;
 
@@ -40,9 +42,67 @@ use std::sync::Arc;
 /// can run while the detector is mutably borrowed.
 type RowSyms = SmallVec<Sym, 8>;
 
-/// One constant CFD's shipment plan: the coordinator site plus each
-/// participating site's tid-ordered candidate list.
-type ConstPlan = (SiteId, Vec<(SiteId, Vec<Tid>)>);
+/// One candidate scan of `incVer` lines 4–6: the coordinator
+/// (`primary_site(B)`) and, per participating site in ascending order, the
+/// constant atoms that site checks.
+struct ConstScan {
+    coord: SiteId,
+    sites: Vec<(SiteId, Vec<(AttrId, Value)>)>,
+}
+
+/// The Σ-invariant half of `incVer` lines 4–10, built once per rule set:
+/// the constant CFDs in id order, each pointing at its candidate scan.
+///
+/// Under [`SharingMode::Shared`], constant CFDs whose restrict operators
+/// are identical (same atoms, same coordinator) produce identical
+/// candidate lists, so they share one scan. This shares computation only:
+/// shipment is still metered per CFD, keeping `|M|` bit-identical to
+/// [`SharingMode::PerCfd`], where every CFD has its own scan.
+struct ConstPlan {
+    /// `(index into Σ, index into scans)`, ascending by CFD.
+    cfds: Vec<(usize, usize)>,
+    scans: Vec<ConstScan>,
+}
+
+impl ConstPlan {
+    fn new(cfds: &[Cfd], scheme: &VerticalScheme, sharing: SharingMode) -> Self {
+        let mut plan = ConstPlan {
+            cfds: Vec::new(),
+            scans: Vec::new(),
+        };
+        let mut seen: FxHashMap<(SiteId, Vec<(AttrId, Value)>), usize> = FxHashMap::default();
+        for (c, cfd) in cfds.iter().enumerate().filter(|(_, c)| c.is_constant()) {
+            let coord = scheme.primary_site(cfd.rhs);
+            let mut atoms = cfd.constant_atoms();
+            atoms.sort_unstable_by_key(|(a, _)| *a);
+            let fresh = plan.scans.len();
+            let u = match sharing {
+                SharingMode::Shared => *seen.entry((coord, atoms.clone())).or_insert(fresh),
+                SharingMode::PerCfd => fresh,
+            };
+            if u == fresh {
+                // Group atoms by evaluation site (prefer the coordinator
+                // when it holds the attribute — zero shipment).
+                let mut sites: Vec<(SiteId, Vec<(AttrId, Value)>)> = Vec::new();
+                for (a, v) in atoms {
+                    let site = if scheme.local_pos(coord, a).is_some() {
+                        coord
+                    } else {
+                        scheme.primary_site(a)
+                    };
+                    match sites.iter_mut().find(|(s, _)| *s == site) {
+                        Some((_, group)) => group.push((a, v)),
+                        None => sites.push((site, vec![(a, v)])),
+                    }
+                }
+                sites.sort_unstable_by_key(|(s, _)| *s);
+                plan.scans.push(ConstScan { coord, sites });
+            }
+            plan.cfds.push((c, u));
+        }
+        plan
+    }
+}
 
 /// Messages exchanged by the vertical detector.
 #[derive(Debug, Clone)]
@@ -119,8 +179,8 @@ pub struct VerticalDetector {
     /// once, and the HEV walks below borrow the stored row symbols
     /// directly — there is no separate encoded mirror.
     current: Relation,
-    /// Fragment relations, one per site.
-    fragments: Vec<Relation>,
+    /// The constant-CFD candidate scans, built for `sharing`.
+    const_plan: ConstPlan,
     violations: Violations,
     net: Network<VerMsg>,
     /// The merged multi-CFD evaluation plan: one dispatch scan decides
@@ -155,8 +215,8 @@ impl VerticalDetector {
         plan: HevPlan,
         d: &Relation,
     ) -> Result<Self, DetectError> {
-        let n = scheme.n_sites();
         let shared_plan = Arc::new(SharedPlan::new(&cfds));
+        let sharing = SharingMode::default();
         let mut det = VerticalDetector {
             bases: FxHashMap::default(),
             node_stores: plan.nodes().iter().map(|_| NonBaseHev::new()).collect(),
@@ -166,14 +226,12 @@ impl VerticalDetector {
                 .map(|c| (c.id, Idx::new()))
                 .collect(),
             current: Relation::new(schema.clone()),
-            fragments: (0..n)
-                .map(|s| Relation::new(scheme.fragment_schema(s).clone()))
-                .collect(),
+            const_plan: ConstPlan::new(&cfds, &scheme, sharing),
             violations: Violations::new(cfds.len()),
-            net: Network::new(n),
+            net: Network::new(scheme.n_sites()),
             shared_plan,
             scratch: MatchScratch::default(),
-            sharing: SharingMode::default(),
+            sharing,
             schema,
             cfds,
             scheme,
@@ -225,6 +283,7 @@ impl VerticalDetector {
     /// only re-enables the legacy `O(|Σ| · |X|)` loop as a baseline.
     pub fn set_sharing(&mut self, mode: SharingMode) {
         self.sharing = mode;
+        self.const_plan = ConstPlan::new(&self.cfds, &self.scheme, mode);
     }
 
     /// The rule set.
@@ -242,9 +301,10 @@ impl VerticalDetector {
         &self.current
     }
 
-    /// Fragment relation at `site`.
-    pub fn fragment(&self, site: SiteId) -> &Relation {
-        &self.fragments[site]
+    /// Fragment relation at `site`, projected on demand from the mirror —
+    /// `O(|D|)`, for tests and inspection.
+    pub fn fragment(&self, site: SiteId) -> Relation {
+        self.scheme.partition(&self.current).swap_remove(site)
     }
 
     /// The value dictionary (size reporting, tests) — the mirror
@@ -290,95 +350,43 @@ impl VerticalDetector {
     // ------------------------------------------------------------------
 
     fn constant_cfds(&mut self, delta: &UpdateBatch, dv: &mut DeltaV) -> Result<(), VerticalError> {
-        // Phase 1 (read-only, parallel when the batch is large): per
-        // constant CFD, the site-local candidate lists of `incVer` lines
-        // 4–6 — pure functions of (CFD, scheme, ΔD⁺), computed on scoped
-        // threads. Phase 2 below replays them serially so shipment
-        // metering and violation mutation stay deterministic.
-        let const_idx: Vec<usize> = (0..self.cfds.len())
-            .filter(|&c| self.cfds[c].is_constant())
-            .collect();
-        if const_idx.is_empty() {
+        let plan = &self.const_plan;
+        if plan.cfds.is_empty() {
             return Ok(());
         }
+        // Phase 1 (read-only, parallel when the batch is large): per scan,
+        // the site-local candidate lists of `incVer` lines 4–6 — pure
+        // functions of (scan, ΔD⁺), computed on scoped threads. Phase 2
+        // below replays them serially so shipment metering and violation
+        // mutation stay deterministic.
         let insertions: Vec<&Tuple> = delta.insertions().collect();
-        let cfds = &self.cfds;
-        let scheme = &self.scheme;
-        // Operator sharing for the candidate scan: constant CFDs whose
-        // plans carry identical restrict operators (same atoms, same
-        // coordinator) produce identical candidate lists, so compute the
-        // list once per distinct signature. This shares computation only
-        // — phase 2 below still meters and ships per CFD, keeping `|M|`
-        // bit-identical to the per-CFD loop.
-        let mut uniq: Vec<usize> = Vec::new(); // representative positions
-        let mut slot_of: Vec<usize> = Vec::with_capacity(const_idx.len());
-        if self.sharing == SharingMode::Shared {
-            let mut seen: FxHashMap<(SiteId, Vec<(AttrId, relation::Value)>), usize> =
-                FxHashMap::default();
-            for (pos, &c) in const_idx.iter().enumerate() {
-                let cfd = &cfds[c];
-                let mut atoms = cfd.constant_atoms();
-                atoms.sort_unstable_by_key(|(a, _)| *a);
-                match seen.entry((scheme.primary_site(cfd.rhs), atoms)) {
-                    std::collections::hash_map::Entry::Occupied(e) => slot_of.push(*e.get()),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(uniq.len());
-                        slot_of.push(uniq.len());
-                        uniq.push(pos);
-                    }
-                }
-            }
-        } else {
-            uniq.extend(0..const_idx.len());
-            slot_of.extend(0..const_idx.len());
-        }
-        let computed = crate::par::par_map(
-            uniq.len(),
-            insertions.len() * uniq.len() >= crate::par::PAR_THRESHOLD,
+        let cands: Vec<Vec<Vec<Tid>>> = crate::par::par_map(
+            plan.scans.len(),
+            insertions.len() * plan.scans.len() >= crate::par::PAR_THRESHOLD,
             &|u| {
-                let cfd = &cfds[const_idx[uniq[u]]];
-                let coord = scheme.primary_site(cfd.rhs);
-                let atoms = cfd.constant_atoms();
-                // Group atoms by evaluation site (prefer the coordinator
-                // when it holds the attribute — zero shipment).
-                let mut by_site: FxHashMap<SiteId, Vec<&(AttrId, relation::Value)>> =
-                    FxHashMap::default();
-                for av in &atoms {
-                    let site = if scheme.local_pos(coord, av.0).is_some() {
-                        coord
-                    } else {
-                        scheme.primary_site(av.0)
-                    };
-                    by_site.entry(site).or_default().push(av);
-                }
-                // Candidate lists per participating site, in tid order.
-                let mut sites: Vec<SiteId> = by_site.keys().copied().collect();
-                sites.sort_unstable();
-                let cands: Vec<(SiteId, Vec<Tid>)> = sites
-                    .into_iter()
-                    .map(|site| {
-                        let atoms_s = &by_site[&site];
-                        let mut cands: Vec<Tid> = insertions
+                plan.scans[u]
+                    .sites
+                    .iter()
+                    .map(|(_, atoms)| {
+                        let mut tids: Vec<Tid> = insertions
                             .iter()
-                            .filter(|t| atoms_s.iter().all(|(a, v)| t.get(*a) == v))
+                            .filter(|t| atoms.iter().all(|(a, v)| t.get(*a) == v))
                             .map(|t| t.tid)
                             .collect();
                         // The sort-merge of incVer line 7 requires ascending
                         // tids; batch order interleaves insertions
                         // arbitrarily.
-                        cands.sort_unstable();
-                        (site, cands)
+                        tids.sort_unstable();
+                        tids
                     })
-                    .collect();
-                (coord, cands)
+                    .collect()
             },
         );
-        let plans: Vec<ConstPlan> = slot_of.iter().map(|&u| computed[u].clone()).collect();
 
         // Phase 2: metering, sort-merge and violation maintenance, in CFD
         // order.
-        for (i, (coord, cand_lists)) in const_idx.iter().zip(plans) {
-            let cfd = self.cfds[*i].clone();
+        for &(c, u) in &plan.cfds {
+            let cfd = &self.cfds[c];
             // Deletions: a deleted tuple leaves V(φ) iff it was in it — the
             // old output is available, no shipment needed.
             for tid in delta.deletions() {
@@ -386,23 +394,20 @@ impl VerticalDetector {
                     dv.remove(cfd.id, tid);
                 }
             }
-            for (site, cands) in &cand_lists {
-                if *site != coord {
+            let scan = &plan.scans[u];
+            for ((site, _), tids) in scan.sites.iter().zip(&cands[u]) {
+                if *site != scan.coord {
                     self.net
-                        .ship(*site, coord, &VerMsg::ConstCands(cands.clone()))?;
+                        .ship(*site, scan.coord, &VerMsg::ConstCands(tids.clone()))?;
                 }
             }
-            // Sort-merge intersection (lists are tid-ordered).
-            let survivors: Vec<Tid> = match cand_lists.len() {
-                0 => delta.insertions().map(|t| t.tid).collect(),
-                _ => {
-                    let lists: Vec<Vec<Tid>> = cand_lists.into_iter().map(|(_, c)| c).collect();
-                    intersect_sorted(&lists)
-                }
-            };
-            let mut surviving: FxHashSet<Tid> = survivors.into_iter().collect();
-            for t in delta.insertions() {
-                if surviving.remove(&t.tid)
+            // Sort-merge intersection (lists are tid-ordered); with no
+            // constant atoms every insertion is a candidate.
+            let survivors = (!cands[u].is_empty()).then(|| intersect_sorted(&cands[u]));
+            for t in &insertions {
+                if survivors
+                    .as_ref()
+                    .is_none_or(|s| s.binary_search(&t.tid).is_ok())
                     && !cfd.rhs_pattern.matches(t.get(cfd.rhs))
                     && self.violations.add(cfd.id, t.tid)
                 {
@@ -569,9 +574,9 @@ impl VerticalDetector {
 
     /// `incVIns` for every variable CFD matching `t`.
     fn insert_variable(&mut self, t: Tuple, dv: &mut DeltaV) -> Result<(), VerticalError> {
-        // Fail *before* mutating anything: the relation inserts below have
-        // both of their error conditions checked up front, so an error
-        // return cannot leak fragment rows or HEV refcounts. (The metered
+        // Fail *before* mutating anything: the relation insert below has
+        // both of its error conditions checked up front, so an error
+        // return cannot leak dictionary or HEV refcounts. (The metered
         // ship inside `walk` is also `?`-fallible, but only against a plan
         // with out-of-range site ids — plans built by
         // `default_chains`/`optimize` place nodes on scheme sites by
@@ -591,9 +596,6 @@ impl VerticalDetector {
         // is the single dictionary encode; the walk below borrows the
         // stored symbols.
         let tid = t.tid;
-        for (site, frag) in self.fragments.iter_mut().enumerate() {
-            frag.insert_row(tid, t.iter_at(self.scheme.attrs_of(site)))?;
-        }
         self.current.insert(t)?;
         let row = self.current.row_of(tid).expect("just inserted");
         let st: RowSyms = self.current.store().row_syms(row).collect();
@@ -679,9 +681,6 @@ impl VerticalDetector {
             }
         }
         self.release(&st, &nodes, &bases, &eqids);
-        for frag in &mut self.fragments {
-            frag.delete_quiet(tid)?;
-        }
         // Deleting the mirror row releases the dictionary references.
         self.current.delete_quiet(tid)?;
         Ok(())
@@ -994,7 +993,7 @@ mod tests {
             assert!(nstore.is_empty(), "non-base HEVs garbage-collected");
         }
         assert!(det.pool().is_empty(), "value dictionary garbage-collected");
-        for site in 0..det.fragments.len() {
+        for site in 0..det.scheme.n_sites() {
             assert!(
                 det.fragment(site).pool().is_empty(),
                 "fragment dictionaries garbage-collected"

@@ -4,6 +4,8 @@
 //! the centralized ground-truth oracle on every workload.
 
 use inc_cfd::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use workload::dblp::{self, DblpConfig};
 use workload::updates::{self, UpdateMix};
@@ -60,8 +62,30 @@ fn all_strategies(
 /// violations equal the oracle, `ΔV` is exactly the settled diff of the
 /// violation sets, and the mirror matches.
 fn drive_and_check(det: &mut dyn Detector, mirror: &mut Relation, delta: &UpdateBatch) {
+    check_step(det, mirror, delta, |det| det.apply(delta));
+}
+
+/// [`drive_and_check`] for one update through [`Detector::apply_one`],
+/// returning the reported `ΔV`.
+fn drive_one_and_check(det: &mut dyn Detector, mirror: &mut Relation, op: &Update) -> DeltaV {
+    let mut delta = UpdateBatch::new();
+    match op {
+        Update::Insert(t) => delta.insert(t.clone()),
+        Update::Delete(tid) => delta.delete(*tid),
+    }
+    check_step(det, mirror, &delta, |det| det.apply_one(op))
+}
+
+/// Run `apply` (which must fold `delta` into `det`) and check the trait
+/// contract against the oracle, advancing `mirror` by `delta`.
+fn check_step(
+    det: &mut dyn Detector,
+    mirror: &mut Relation,
+    delta: &UpdateBatch,
+    apply: impl FnOnce(&mut dyn Detector) -> Result<DeltaV, DetectError>,
+) -> DeltaV {
     let before = det.violations().clone();
-    let dv = det.apply(delta).unwrap_or_else(|e| {
+    let dv = apply(&mut *det).unwrap_or_else(|e| {
         panic!("{} failed to apply: {e}", det.strategy());
     });
     delta
@@ -88,6 +112,91 @@ fn drive_and_check(det: &mut dyn Detector, mirror: &mut Relation, delta: &Update
         "{} mirror out of sync",
         det.strategy()
     );
+    dv
+}
+
+/// A uniform pick from `vs`.
+fn pick<T: Copy>(rng: &mut StdRng, vs: &[T]) -> T {
+    vs[rng.random_range(0..vs.len())]
+}
+
+/// A random EMP tuple over tiny domains (2–3 values per attribute), so
+/// keys and patterns collide constantly. Grades stay within the three
+/// fragments of the horizontal scheme.
+fn dense_emp_tuple(tid: Tid, rng: &mut StdRng) -> Tuple {
+    let strs = |rng: &mut StdRng, domains: &[&[&str]]| -> Vec<Value> {
+        domains.iter().map(|vs| Value::str(pick(rng, vs))).collect()
+    };
+    let mut vals = vec![Value::int(tid as i64)];
+    // name, sex, grade, street, city, zip
+    vals.extend(strs(
+        rng,
+        &[
+            &["Mike", "Sam"],
+            &["M", "F"],
+            &["A", "B", "C"],
+            &["Mayfield", "Crichton", "Preston"],
+            &["EDI", "NYC"],
+            &["EH4 8LE", "EH2 4HF"],
+        ],
+    ));
+    // CC, AC
+    vals.push(Value::int(pick(rng, &[44, 1])));
+    vals.push(Value::int(pick(rng, &[131, 908])));
+    // phn, salary, hd
+    vals.extend(strs(
+        rng,
+        &[
+            &["3456789", "2909209"],
+            &["60k", "80k"],
+            &["1/3/93", "9/1/07"],
+        ],
+    ));
+    Tuple::new(tid, vals)
+}
+
+/// A seeded one-op-at-a-time EMP stream from `d0` that holds at most a
+/// dozen live tuples: fresh inserts, same-tid modifies that change a
+/// value, same-tid reinserts of the identical tuple, deletes of live tids
+/// and deletes of absent tids.
+fn dense_emp_stream(d0: &Relation, n_ops: usize, seed: u64) -> Vec<Update> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut mirror = d0.clone();
+    let mut next_tid: Tid = 100;
+    let mut ops = Vec::with_capacity(n_ops);
+    while ops.len() < n_ops {
+        let live: Vec<Tid> = mirror.tids().collect();
+        let roll = rng.random_range(0..10u32);
+        let op = if live.is_empty() || (roll <= 3 && live.len() < 12) {
+            next_tid += 1;
+            Update::Insert(dense_emp_tuple(next_tid, &mut rng))
+        } else {
+            let tid = pick(&mut rng, &live);
+            let old = mirror.get(tid).expect("live tuple");
+            match roll {
+                4 | 5 => loop {
+                    let t = dense_emp_tuple(tid, &mut rng);
+                    if t.values != old.values {
+                        break Update::Insert(t);
+                    }
+                },
+                6 => Update::Insert(old),
+                7 => Update::Delete(next_tid + 1 + rng.random_range(0..5u64)),
+                _ => Update::Delete(tid),
+            }
+        };
+        let mut delta = UpdateBatch::new();
+        match &op {
+            Update::Insert(t) => delta.insert(t.clone()),
+            Update::Delete(tid) => delta.delete(*tid),
+        }
+        delta
+            .normalize(&mirror.clone())
+            .apply(&mut mirror)
+            .expect("stream op applies");
+        ops.push(op);
+    }
+    ops
 }
 
 #[test]
@@ -157,6 +266,44 @@ fn all_strategies_track_the_oracle_on_dblp() {
             );
             drive_and_check(det.as_mut(), &mut mirror, &delta);
         }
+    }
+}
+
+#[test]
+fn all_strategies_track_the_oracle_one_op_at_a_time() {
+    let (schema, d0) = workload::emp::emp_relation();
+    let sigma = workload::emp::emp_cfds(&schema);
+    let vscheme = workload::emp::emp_vertical_scheme(&schema);
+    let hscheme = workload::emp::emp_horizontal_scheme(&schema);
+    let yscheme = HybridScheme::uniform(schema.clone(), 2, 2).expect("hybrid scheme");
+    let stream = dense_emp_stream(&d0, 400, 0x0E1);
+
+    for det in &mut all_strategies(&schema, &sigma, vscheme, hscheme, yscheme, &d0) {
+        let strategy = det.strategy();
+        let mut mirror = d0.clone();
+        // Modifies, identical reinserts, absent deletes, curing deletes.
+        let mut seen = [0usize; 4];
+        for op in &stream {
+            let old = mirror.get(op.tid());
+            let dv = drive_one_and_check(det.as_mut(), &mut mirror, op);
+            match (op, old) {
+                (Update::Insert(t), Some(old)) if t.values == old.values => {
+                    assert!(dv.is_empty(), "{strategy}: identical reinsert of {}", t.tid);
+                    seen[1] += 1;
+                }
+                (Update::Insert(_), Some(_)) => seen[0] += 1,
+                (Update::Delete(tid), None) => {
+                    assert!(dv.is_empty(), "{strategy}: delete of absent {tid}");
+                    seen[2] += 1;
+                }
+                (Update::Delete(_), Some(_)) if !dv.removed.is_empty() => seen[3] += 1,
+                _ => {}
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "{strategy}: stream lacks an op kind (modify, reinsert, absent delete, curing delete): {seen:?}"
+        );
     }
 }
 
